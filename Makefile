@@ -38,6 +38,7 @@ docs:
 # fuzz runs the same 20-second smoke of every fuzz target CI runs.
 fuzz:
 	$(GO) test ./internal/profile -run='^$$' -fuzz=FuzzLoad -fuzztime=20s
+	$(GO) test ./internal/twigopt -run='^$$' -fuzz=FuzzAnalyze -fuzztime=20s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=20s
 	$(GO) test ./internal/exec -run='^$$' -fuzz=FuzzBatchEquivalence -fuzztime=20s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReaderBatch -fuzztime=20s

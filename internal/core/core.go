@@ -139,14 +139,10 @@ func CollectProfile(p *program.Program, params workload.Params, trainInput int, 
 
 // OptimizeFromProfile runs the Twig analysis on a collected (or
 // cached) profile and relinks the binary — the final stage of
-// BuildAndOptimize. The profile must come from the same binary; block
-// counts are cross-checked so a stale cached profile fails loudly
-// rather than silently mis-optimizing.
+// BuildAndOptimize. The profile must come from the same binary; the
+// analysis cross-checks its block count and IDs, so a stale cached
+// profile fails loudly rather than silently mis-optimizing.
 func OptimizeFromProfile(p *program.Program, params workload.Params, prof *profile.Profile, trainInput int, opts Options) (*Artifacts, error) {
-	if len(prof.BlockExecs) != len(p.Blocks) {
-		return nil, fmt.Errorf("core: profile has %d blocks, binary has %d — profile is from a different binary",
-			len(prof.BlockExecs), len(p.Blocks))
-	}
 	an, err := twigopt.Analyze(p, prof, opts.Opt)
 	if err != nil {
 		return nil, err

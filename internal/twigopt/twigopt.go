@@ -19,7 +19,9 @@
 package twigopt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"twig/internal/isa"
@@ -128,7 +130,8 @@ type Analysis struct {
 }
 
 // Analyze runs the paper's §3 pipeline on a profile of p and returns
-// the injection plan. p must be the unmodified (profiled) binary.
+// the injection plan. p must be the unmodified (profiled) binary; a
+// profile naming a block or branch p does not have is an error.
 func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, error) {
 	if cfg.OffsetBits <= 0 || cfg.OffsetBits > 48 {
 		return nil, fmt.Errorf("twigopt: offset width %d out of range", cfg.OffsetBits)
@@ -136,92 +139,79 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 	if cfg.CoalesceMaskBits < 1 || cfg.CoalesceMaskBits > 64 {
 		return nil, fmt.Errorf("twigopt: coalesce mask width %d out of range", cfg.CoalesceMaskBits)
 	}
-
-	// Step 1: per missed branch, accumulate timely-predecessor counts
-	// (the probability denominator uses whole-run block execution
-	// counts; the numerator and the set-cover structure come from the
-	// samples).
-	timely := make(map[candKey]int64)
-	coverSets := make(map[candKey][]int32)
-	sampleCount := make(map[int32]int64)
-	for i := range prof.Samples {
-		s := &prof.Samples[i]
-		ordinal := int32(sampleCount[s.Branch])
-		sampleCount[s.Branch]++
-		seen := map[int32]bool{}
-		add := func(block int32) {
-			if seen[block] {
-				return
-			}
-			seen[block] = true
-			k := candKey{s.Branch, block}
-			timely[k]++
-			coverSets[k] = append(coverSets[k], ordinal)
-		}
-		for _, rec := range s.History {
-			if s.MissCycle-rec.Cycle < cfg.PrefetchDistance {
-				// Too close to the miss to be timely; keep walking to
-				// older records.
-				continue
-			}
-			// Both endpoints of the taken branch are blocks that
-			// executed before the miss at sufficient distance. The
-			// destination block is the natural injection site (the
-			// prefetch runs when that block is entered).
-			add(rec.ToBlock)
-			add(rec.FromBlock)
-		}
+	if err := checkProfile(p, prof); err != nil {
+		return nil, err
 	}
-
 	an := &Analysis{Plan: &program.InjectionPlan{}}
 	for _, n := range prof.MissCounts {
 		an.TotalMissCount += n
 	}
+	encode(p, cfg, an, selectSites(p, prof, cfg, an))
+	return an, nil
+}
 
-	// Group candidates per branch (single pass; candidateBlocks sorts
-	// each group deterministically).
-	byBranch := make(map[int32][]candidate, len(sampleCount))
-	for k, n := range timely {
-		byBranch[k.branch] = append(byBranch[k.branch], candidate{block: k.block, count: n})
+// checkProfile rejects a profile that names a branch or block p does
+// not have — one from a different binary, or a corrupt file — before
+// the analysis indexes its per-block arrays with those IDs.
+func checkProfile(p *program.Program, prof *profile.Profile) error {
+	if len(prof.BlockExecs) != len(p.Blocks) {
+		return fmt.Errorf("twigopt: profile has %d blocks, binary has %d — profile is from a different binary",
+			len(prof.BlockExecs), len(p.Blocks))
 	}
-
-	// Branches in decreasing sampled-miss volume (ties by ID for
-	// determinism), so the CoverageTarget cutoff keeps the head of the
-	// distribution and drops the long tail.
-	branches := make([]int32, 0, len(sampleCount))
-	for b := range sampleCount {
-		branches = append(branches, b)
-	}
-	sort.Slice(branches, func(i, j int) bool {
-		mi, mj := prof.MissCounts[branches[i]], prof.MissCounts[branches[j]]
-		if mi != mj {
-			return mi > mj
+	nBlocks := int32(len(p.Blocks))
+	for i := range prof.Samples {
+		s := &prof.Samples[i]
+		if idx := p.IndexOf(s.Branch); idx == program.NoTarget || !p.Instrs[idx].Kind.IsDirect() {
+			return fmt.Errorf("twigopt: sample %d references branch %d, binary has no such direct branch", i, s.Branch)
 		}
-		return branches[i] < branches[j]
-	})
-
-	type site struct {
-		branch int32
-		block  int32
-		prob   float64
+		for _, rec := range s.History {
+			for _, blk := range [2]int32{rec.FromBlock, rec.ToBlock} {
+				if blk < 0 || blk >= nBlocks {
+					return fmt.Errorf("twigopt: sample %d references block %d, binary has %d blocks", i, blk, nBlocks)
+				}
+			}
+		}
 	}
+	return nil
+}
+
+// site is one accepted (missed branch, injection block) pair.
+type site struct {
+	branch int32
+	block  int32
+	prob   float64
+}
+
+// selectSites runs steps 1 and 2 of the analysis and returns the
+// accepted sites, branch by branch in decreasing sampled-miss volume.
+// It fills an's coverage counters.
+//
+// Step 1: per missed branch, the candidate sites are the blocks that
+// precede the branch's samples by at least the prefetch distance, each
+// with its cover set (the samples it precedes). Step 2: for each
+// candidate block B, P(miss | B executed) = timely-coverable samples ÷
+// whole-run executions of B, and a greedy set cover over the branch's
+// samples picks up to MaxSitesPerBranch accurate blocks.
+func selectSites(p *program.Program, prof *profile.Profile, cfg Config, an *Analysis) []site {
 	maxSites := cfg.MaxSitesPerBranch
 	if maxSites <= 0 || cfg.NearestSite {
 		maxSites = 1
 	}
+	t := newCandidateTable(len(p.Blocks))
+	var covered []bool
 	var sites []site
 	var processedMisses int64
 	cutoff := int64(float64(an.TotalMissCount) * cfg.CoverageTarget)
-	for _, br := range branches {
+	for gi, g := range groupByBranch(len(p.Instrs), prof) {
 		if cfg.CoverageTarget > 0 && processedMisses >= cutoff {
 			break
 		}
-		processedMisses += prof.MissCounts[br]
-		if prof.MissCounts[br] < cfg.MinMissCount {
+		processedMisses += g.misses
+		if g.misses < cfg.MinMissCount {
 			continue
 		}
-		cands := sortCandidates(byBranch[br])
-		if len(cands) == 0 {
+		t.build(prof, g.samples, int32(gi+1), cfg.PrefetchDistance)
+		if len(t.cands) == 0 {
 			an.NoCandidate++
 			continue
 		}
@@ -229,24 +219,25 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 		// the candidate block that covers the most still-uncovered
 		// samples among blocks meeting the accuracy threshold — the
 		// multi-predecessor selection of the paper's Fig. 13 example.
-		nSamples := int(sampleCount[br])
-		covered := make([]bool, nSamples)
+		nSamples := len(g.samples)
+		covered = append(covered[:0], make([]bool, nSamples)...)
 		nCovered := 0
 		accepted := 0
 		for round := 0; round < maxSites && nCovered < nSamples; round++ {
 			bestIdx := -1
 			bestGain := 0
 			bestProb := 0.0
-			for ci := range cands {
-				rec := &cands[ci]
-				if rec.count == 0 { // consumed in an earlier round
+			for ci := range t.cands {
+				c := &t.cands[ci]
+				if c.used {
 					continue
 				}
-				execs := prof.BlockExecs[rec.block]
+				execs := prof.BlockExecs[c.block]
 				if execs == 0 {
 					continue
 				}
-				prob := float64(rec.count) / float64(execs)
+				cover := t.coverSet(ci)
+				prob := float64(len(cover)) / float64(execs)
 				if prob > 1 {
 					// A block can precede several distinct misses of
 					// the same branch between two of its own executions
@@ -257,16 +248,19 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 					continue
 				}
 				gain := 0
-				for _, ord := range coverSets[candKey{br, rec.block}] {
+				for _, ord := range cover {
 					if !covered[ord] {
 						gain++
 					}
 				}
-				better := gain > bestGain || (gain == bestGain && prob > bestProb)
+				// Candidates are in first-seen order, so a full tie goes
+				// to the lower block ID explicitly.
+				lower := bestIdx < 0 || c.block < t.cands[bestIdx].block
+				better := gain > bestGain || (gain == bestGain && (prob > bestProb || (prob == bestProb && lower)))
 				if cfg.NearestSite {
 					// Ablation: ignore probability, prefer the most
 					// frequently timely block (locality-only heuristic).
-					better = gain > bestGain
+					better = gain > bestGain || (gain == bestGain && lower)
 				}
 				if better {
 					bestIdx, bestGain, bestProb = ci, gain, prob
@@ -276,34 +270,172 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 			if bestIdx < 0 || bestGain == 0 || (round > 0 && bestGain*40 < nSamples) {
 				break
 			}
-			blk := cands[bestIdx].block
-			for _, ord := range coverSets[candKey{br, blk}] {
+			for _, ord := range t.coverSet(bestIdx) {
 				if !covered[ord] {
 					covered[ord] = true
 					nCovered++
 				}
 			}
-			cands[bestIdx].count = 0 // consume
-			sites = append(sites, site{branch: br, block: blk, prob: bestProb})
+			t.cands[bestIdx].used = true
+			sites = append(sites, site{branch: g.branch, block: t.cands[bestIdx].block, prob: bestProb})
 			accepted++
 		}
-		switch {
-		case accepted > 0:
+		if accepted > 0 {
 			// Attribute the branch's miss volume proportionally to the
 			// fraction of its samples the chosen sites can reach.
-			an.CoveredMissCount += prof.MissCounts[br] * int64(nCovered) / int64(nSamples)
-		case len(cands) > 0:
+			an.CoveredMissCount += g.misses * int64(nCovered) / int64(nSamples)
+		} else {
 			an.LowProbability++
-		default:
-			an.NoCandidate++
 		}
 	}
+	return sites
+}
 
-	// Step 3: encode. Offsets are computed on the profiled layout; the
-	// relink shifts addresses by the injected bytes (a few percent),
-	// which the 12-bit budget absorbs for all but boundary cases —
-	// exactly the imprecision a real link-time rewriter faces.
-	//
+// branchGroup is one missed branch with its samples.
+type branchGroup struct {
+	branch int32
+	// misses is the branch's sampled-miss volume from prof.MissCounts.
+	misses int64
+	// samples indexes prof.Samples in profile order, so a sample's
+	// position here is its ordinal among the branch's samples.
+	samples []int32
+}
+
+// groupByBranch buckets the sample indices by missed branch with one
+// stable counting sort over the dense branch IDs in [0, nIDs), and
+// orders the groups by decreasing miss volume (ties by ID), so the
+// CoverageTarget cutoff keeps the head of the distribution and drops
+// the long tail.
+func groupByBranch(nIDs int, prof *profile.Profile) []branchGroup {
+	groupOf := make([]int32, nIDs) // branch ID → 1 + group index
+	var groups []branchGroup
+	var sizes []int
+	for i := range prof.Samples {
+		br := prof.Samples[i].Branch
+		if groupOf[br] == 0 {
+			groups = append(groups, branchGroup{branch: br, misses: prof.MissCounts[br]})
+			sizes = append(sizes, 0)
+			groupOf[br] = int32(len(groups))
+		}
+		sizes[groupOf[br]-1]++
+	}
+	order := make([]int32, len(prof.Samples))
+	next := 0
+	for gi, n := range sizes {
+		groups[gi].samples = order[next : next : next+n]
+		next += n
+	}
+	for i := range prof.Samples {
+		g := &groups[groupOf[prof.Samples[i].Branch]-1]
+		g.samples = append(g.samples, int32(i)) // within capacity: fills order
+	}
+	slices.SortFunc(groups, func(a, b branchGroup) int {
+		if c := cmp.Compare(b.misses, a.misses); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.branch, b.branch)
+	})
+	return groups
+}
+
+// candidateTable holds step 1's result for one branch at a time and is
+// rebuilt in place for the next. Its per-block arrays are indexed by
+// block ID and stamped with the branch that last wrote them, so nothing
+// is cleared between branches and no entry is ever hashed.
+type candidateTable struct {
+	// stamp[b] is the stamp of the branch whose table holds block b;
+	// slotOf[b] is then b's slot, its index in cands.
+	stamp, slotOf []int32
+	// cands lists the candidate blocks in the order the branch's
+	// samples first name them.
+	cands []candidate
+	// last[slot] is the last sample ordinal recorded for the slot: a
+	// block that appears twice in one history counts once.
+	last []int32
+	// pairs holds (slot, ordinal) pairs in sample order while building.
+	pairs []int32
+	// The cover sets in CSR form: slot s covers the sample ordinals
+	// members[start[s]:start[s+1]], ascending.
+	start, members []int32
+}
+
+// candidate is one candidate block of the branch being analyzed.
+type candidate struct {
+	block int32
+	// used marks a block a greedy round has already accepted.
+	used bool
+}
+
+func newCandidateTable(nBlocks int) *candidateTable {
+	return &candidateTable{stamp: make([]int32, nBlocks), slotOf: make([]int32, nBlocks)}
+}
+
+// build fills the table for the branch with the given samples; stamp
+// must differ from every earlier build's and from 0.
+func (t *candidateTable) build(prof *profile.Profile, samples []int32, stamp int32, distance float64) {
+	t.cands, t.last, t.pairs = t.cands[:0], t.last[:0], t.pairs[:0]
+	for ord, si := range samples {
+		s := &prof.Samples[si]
+		for _, rec := range s.History {
+			if s.MissCycle-rec.Cycle < distance {
+				// Too close to the miss to be timely; keep walking to
+				// older records.
+				continue
+			}
+			// Both endpoints of the taken branch are blocks that
+			// executed before the miss at sufficient distance. The
+			// destination block is the natural injection site (the
+			// prefetch runs when that block is entered).
+			t.add(rec.ToBlock, int32(ord), stamp)
+			t.add(rec.FromBlock, int32(ord), stamp)
+		}
+	}
+	n := len(t.cands)
+	t.start = append(t.start[:0], make([]int32, n+1)...)
+	for i := 0; i < len(t.pairs); i += 2 {
+		t.start[t.pairs[i]+1]++
+	}
+	for s := 0; s < n; s++ {
+		t.start[s+1] += t.start[s]
+	}
+	t.members = append(t.members[:0], make([]int32, len(t.pairs)/2)...)
+	next := append(t.last[:0], t.start[:n]...) // last is free again: reuse as fill cursors
+	for i := 0; i < len(t.pairs); i += 2 {
+		slot := t.pairs[i]
+		t.members[next[slot]] = t.pairs[i+1]
+		next[slot]++
+	}
+}
+
+// add records that block precedes sample ord of the branch being built.
+func (t *candidateTable) add(block, ord, stamp int32) {
+	if t.stamp[block] != stamp {
+		t.stamp[block] = stamp
+		t.slotOf[block] = int32(len(t.cands))
+		t.cands = append(t.cands, candidate{block: block})
+		t.last = append(t.last, -1)
+	}
+	slot := t.slotOf[block]
+	if t.last[slot] == ord {
+		return
+	}
+	t.last[slot] = ord
+	t.pairs = append(t.pairs, slot, ord)
+}
+
+// coverSet returns the ordinals of the samples that candidate slot
+// precedes in time; its length is the candidate's timely count, the
+// probability numerator.
+func (t *candidateTable) coverSet(slot int) []int32 {
+	return t.members[t.start[slot]:t.start[slot+1]]
+}
+
+// encode runs step 3 on the accepted sites and fills an's plan,
+// placements and offset histograms. Offsets are computed on the
+// profiled layout; the relink shifts addresses by the injected bytes (a
+// few percent), which the 12-bit budget absorbs for all but boundary
+// cases — exactly the imprecision a real link-time rewriter faces.
+func encode(p *program.Program, cfg Config, an *Analysis, sites []site) {
 	// Group entries per injection block first: a site with a single
 	// encodable entry gets a brprefetch; a site with several entries —
 	// or any too-large entry — routes everything through the sorted
@@ -420,26 +552,6 @@ func Analyze(p *program.Program, prof *profile.Profile, cfg Config) (*Analysis, 
 		}
 		an.Plan.Injections = append(an.Plan.Injections, *inj)
 	}
-	return an, nil
-}
-
-// candKey keys the timely-predecessor counts by (missed branch,
-// candidate block), both stable IDs.
-type candKey struct {
-	branch int32
-	block  int32
-}
-
-// candidate is a (block, timely-count) pair for one branch.
-type candidate struct {
-	block int32
-	count int64
-}
-
-// sortCandidates orders a branch's candidate blocks deterministically.
-func sortCandidates(cs []candidate) []candidate {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].block < cs[j].block })
-	return cs
 }
 
 func siteFirstIdx(p *program.Program, blockID int32) int32 {
