@@ -3,8 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"twig/internal/core"
 	"twig/internal/metrics"
+	"twig/internal/runner"
+	"twig/internal/twigopt"
 )
 
 // The ablations probe the design choices DESIGN.md calls out, beyond
@@ -19,10 +20,6 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "twig % of ideal", "nearest-site % of ideal", "twig acc %", "nearest acc %")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Baseline(app, 0)
 				if err != nil {
 					return err
@@ -35,15 +32,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				near, err := c.memoRun(fmt.Sprintf("nearest/%s", app), func() (*r, error) {
-					optCfg := c.Opts.Opt
-					optCfg.NearestSite = true
-					prog, _, err := a.Reoptimize(optCfg)
-					if err != nil {
-						return nil, err
-					}
-					return a.RunOptimized(prog, 0, c.Opts)
-				})
+				near, err := c.reoptRun(fmt.Sprintf("nearest/%s", app), app, func(o *twigopt.Config) { o.NearestSite = true })
 				if err != nil {
 					return err
 				}
@@ -69,10 +58,6 @@ func init() {
 			for _, p := range probs {
 				var sp, acc, oh []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Baseline(app, 0)
 					if err != nil {
 						return err
@@ -81,15 +66,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("minprob%.2f/%s", p, app), func() (*r, error) {
-						optCfg := c.Opts.Opt
-						optCfg.MinProbability = p
-						prog, _, err := a.Reoptimize(optCfg)
-						if err != nil {
-							return nil, err
-						}
-						return a.RunOptimized(prog, 0, c.Opts)
-					})
+					tw, err := c.reoptRun(fmt.Sprintf("minprob%.2f/%s", p, app), app, func(o *twigopt.Config) { o.MinProbability = p })
 					if err != nil {
 						return err
 					}
@@ -125,14 +102,10 @@ func init() {
 					}
 					opts := c.Opts
 					opts.SampleRate = rate
-					key := fmt.Sprintf("srate%d/%s", rate, app)
-					tw, err := c.memoRun(key, func() (*r, error) {
-						art, err := core.BuildAndOptimize(app, 0, opts)
-						if err != nil {
-							return nil, err
-						}
-						return art.RunTwig(0, opts)
-					})
+					// A different rate changes the profile, so the whole
+					// pipeline reruns.
+					art := runner.ArtifactsJob(app, 0, opts, fmt.Sprintf("srate%d/", rate))
+					tw, err := c.schemeRun(fmt.Sprintf("srate%d/%s", rate, app), "twig", art, opts)
 					if err != nil {
 						return err
 					}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"twig/internal/btb"
-	"twig/internal/core"
 	"twig/internal/metrics"
-	"twig/internal/pipeline"
+	"twig/internal/runner"
 )
 
 func init() {
@@ -22,27 +21,17 @@ func init() {
 					opts.BTB.Replacement = pol
 					key := fmt.Sprintf("repl-%v/%s", pol, app)
 
-					var art *core.Artifacts
-					var err error
-					if pol == btb.ReplaceLRU {
-						art, err = c.Artifacts(app, 0)
-					} else {
+					art := c.artJob(app, 0)
+					if pol != btb.ReplaceLRU {
 						// A different policy changes the profile, so the
 						// whole pipeline reruns.
-						art, err = core.BuildAndOptimize(app, 0, opts)
+						art = runner.ArtifactsJob(app, 0, opts, fmt.Sprintf("repl-%v/", pol))
 					}
+					base, err := c.schemeRun(key+"/base", "baseline", art, opts)
 					if err != nil {
 						return err
 					}
-					base, err := c.memoRun(key+"/base", func() (*pipeline.Result, error) {
-						return art.RunBaseline(0, opts)
-					})
-					if err != nil {
-						return err
-					}
-					tw, err := c.memoRun(key+"/twig", func() (*pipeline.Result, error) {
-						return art.RunTwig(0, opts)
-					})
+					tw, err := c.schemeRun(key+"/twig", "twig", art, opts)
 					if err != nil {
 						return err
 					}

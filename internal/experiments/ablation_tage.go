@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"twig/internal/metrics"
-	"twig/internal/pipeline"
 )
 
 func init() {
@@ -17,10 +16,6 @@ func init() {
 				"stat mispredict/KI", "tage mispredict/KI",
 				"stat twig % of ideal", "tage twig % of ideal")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				// Statistical model numbers come from the shared caches.
 				base, err := c.Baseline(app, 0)
 				if err != nil {
@@ -38,21 +33,16 @@ func init() {
 				// TAGE runs.
 				tOpts := c.Opts
 				tOpts.Pipeline.UseTAGE = true
-				baseT, err := c.memoRun(fmt.Sprintf("tage-base/%s", app), func() (*pipeline.Result, error) {
-					return a.RunBaseline(0, tOpts)
-				})
+				art := c.artJob(app, 0)
+				baseT, err := c.schemeRun(fmt.Sprintf("tage-base/%s", app), "baseline", art, tOpts)
 				if err != nil {
 					return err
 				}
-				idealT, err := c.memoRun(fmt.Sprintf("tage-ideal/%s", app), func() (*pipeline.Result, error) {
-					return a.RunIdealBTB(0, tOpts)
-				})
+				idealT, err := c.schemeRun(fmt.Sprintf("tage-ideal/%s", app), "ideal", art, tOpts)
 				if err != nil {
 					return err
 				}
-				twT, err := c.memoRun(fmt.Sprintf("tage-twig/%s", app), func() (*pipeline.Result, error) {
-					return a.RunTwig(0, tOpts)
-				})
+				twT, err := c.schemeRun(fmt.Sprintf("tage-twig/%s", app), "twig", art, tOpts)
 				if err != nil {
 					return err
 				}

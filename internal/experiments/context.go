@@ -127,46 +127,48 @@ func (c *Context) simHash(key string) string {
 }
 
 // Artifacts returns (building and caching on first use) the app's
-// binary, profile and Twig analysis for the given training input.
+// binary, profile and Twig analysis for the given training input. Only
+// experiments that report properties of the artifacts themselves call
+// it; simulations and derived statistics declare artJob as a job
+// dependency instead (see memoRun).
 func (c *Context) Artifacts(app workload.App, train int) (*core.Artifacts, error) {
-	return c.ArtifactsOpts(app, train, c.Opts, "")
-}
-
-// ArtifactsOpts is Artifacts under modified options (sensitivity
-// sweeps rebuild when the BTB geometry changes, because the profile
-// depends on it). tag must uniquely name the variant; it namespaces
-// the job IDs and rides alongside the options hash.
-func (c *Context) ArtifactsOpts(app workload.App, train int, opts core.Options, tag string) (*core.Artifacts, error) {
-	v, err := c.run.Result(c.ctx, runner.ArtifactsJob(app, train, opts, tag))
+	v, err := c.run.Result(c.ctx, c.artJob(app, train))
 	if err != nil {
 		return nil, err
 	}
 	return v.(*core.Artifacts), nil
 }
 
-// memoRun caches a simulation result under an explicit key. The key
-// must uniquely identify the run given the context's operating point
-// (keys embed the app, scheme, input and any sweep parameter); it is
-// also the content-hash seed for the persistent cache, so a warm cache
-// serves the result without executing the closure — or building the
-// artifacts it captures.
-func (c *Context) memoRun(key string, f func() (*pipeline.Result, error)) (*pipeline.Result, error) {
-	return c.memoRunCtx(key, func(stdctx.Context) (*pipeline.Result, error) { return f() })
+// artJob is the job that resolves the app's artifacts for the given
+// training input under the context's options.
+func (c *Context) artJob(app workload.App, train int) *runner.Job {
+	return runner.ArtifactsJob(app, train, c.Opts, "")
 }
 
-// memoRunCtx is memoRun for closures that want the job's execution
-// context — primarily to pick the job's ledger span out of it (see
-// optsWithSpan) so pipeline phase spans nest under the job. Executed
-// runs credit their instruction count to the runner's aggregate kIPS
-// counter; cache replays never reach the closure and credit nothing.
-func (c *Context) memoRunCtx(key string, f func(jctx stdctx.Context) (*pipeline.Result, error)) (*pipeline.Result, error) {
+// memoRun caches a simulation result, computed by f from the artifacts
+// art resolves, under an explicit key. The key must uniquely identify
+// the run given the context's operating point (keys embed the app,
+// scheme, input and any sweep parameter); it is also the content-hash
+// seed for the persistent cache.
+//
+// art is a dependency of the job, not a value f captures, so artifacts
+// are resolved only when the key misses the cache: a warm cache serves
+// the result without building, profiling or analyzing anything. The
+// runner resolves dependencies before the job takes a worker slot; f
+// runs holding one, so it must never resolve jobs itself (Artifacts,
+// runner.Result) — on a one-worker runner that deadlocks. jctx carries
+// the job's ledger span (see optsWithSpan). Executed runs credit their
+// instruction count to the runner's aggregate kIPS counter; cache
+// replays never reach f and credit nothing.
+func (c *Context) memoRun(key string, art *runner.Job, f func(jctx stdctx.Context, a *core.Artifacts) (*pipeline.Result, error)) (*pipeline.Result, error) {
 	v, err := c.run.Result(c.ctx, &runner.Job{
 		ID:    "run/" + key,
 		Kind:  runner.KindSim,
 		Hash:  c.simHash(key),
 		Codec: runner.ResultCodec{},
-		Run: func(jctx stdctx.Context, _ []any) (any, error) {
-			res, err := f(jctx)
+		Deps:  []*runner.Job{art},
+		Run: func(jctx stdctx.Context, deps []any) (any, error) {
+			res, err := f(jctx, deps[0].(*core.Artifacts))
 			if err == nil {
 				c.run.AddSimInstructions(res.Instructions)
 			}
@@ -194,9 +196,10 @@ func (c *Context) optsWithSpan(jctx stdctx.Context) core.Options {
 
 // memoDerived caches a JSON-serializable derived statistic (3C
 // classification counts, stream fractions, working-set sizes) that an
-// instrumented or auxiliary run computes, under the same keying and
-// cache rules as memoRun.
-func memoDerived[T any](c *Context, key string, f func() (T, error)) (T, error) {
+// instrumented or auxiliary run computes from the artifacts art
+// resolves, under the same keying, cache and dependency rules as
+// memoRun.
+func memoDerived[T any](c *Context, key string, art *runner.Job, f func(a *core.Artifacts) (T, error)) (T, error) {
 	h := ""
 	if runner.Cacheable(c.Opts) {
 		h = runner.HashDerived(key, c.Opts)
@@ -206,7 +209,10 @@ func memoDerived[T any](c *Context, key string, f func() (T, error)) (T, error) 
 		Kind:  runner.KindDerived,
 		Hash:  h,
 		Codec: runner.JSONCodec[T]{},
-		Run:   func(stdctx.Context, []any) (any, error) { return f() },
+		Deps:  []*runner.Job{art},
+		Run: func(_ stdctx.Context, deps []any) (any, error) {
+			return f(deps[0].(*core.Artifacts))
+		},
 	})
 	if err != nil {
 		var zero T
@@ -215,81 +221,47 @@ func memoDerived[T any](c *Context, key string, f func() (T, error)) (T, error) 
 	return v.(T), nil
 }
 
-// Baseline returns the cached baseline run for (app, input).
-func (c *Context) Baseline(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
+// scheme returns the cached run of one named scheme (core.SchemeNames)
+// of the input-0-trained artifacts on (app, input). Its memo key is
+// the one Schemes, the facade's RunMatrix and twigd workers use, so
+// every path shares one entry.
+func (c *Context) scheme(name string, app workload.App, input int) (*pipeline.Result, error) {
+	key, err := runner.SchemeMemoKey(name, app, input)
 	if err != nil {
 		return nil, err
 	}
-	return c.memoRunCtx(fmt.Sprintf("base/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunBaseline(input, c.optsWithSpan(jctx))
+	return c.memoRun(key, c.artJob(app, 0), func(jctx stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
+		return a.RunScheme(name, input, c.optsWithSpan(jctx))
 	})
+}
+
+// schemeRun returns the cached input-0 run of one named scheme of the
+// artifacts art resolves, under opts (a figure's variant of the
+// operating point, which key must name).
+func (c *Context) schemeRun(key, scheme string, art *runner.Job, opts core.Options) (*pipeline.Result, error) {
+	return c.memoRun(key, art, func(_ stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
+		return a.RunScheme(scheme, 0, opts)
+	})
+}
+
+// Baseline returns the cached baseline run for (app, input).
+func (c *Context) Baseline(app workload.App, input int) (*pipeline.Result, error) {
+	return c.scheme("baseline", app, input)
 }
 
 // IdealBTB returns the cached ideal-BTB run for (app, input).
 func (c *Context) IdealBTB(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("ideal/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunIdealBTB(input, c.optsWithSpan(jctx))
-	})
+	return c.scheme("ideal", app, input)
 }
 
 // Twig returns the cached run of the input-train-0 optimized binary.
 func (c *Context) Twig(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("twig/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunTwig(input, c.optsWithSpan(jctx))
-	})
+	return c.scheme("twig", app, input)
 }
 
 // Shotgun returns the cached Shotgun run.
 func (c *Context) Shotgun(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("shotgun/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunShotgun(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Confluence returns the cached Confluence run.
-func (c *Context) Confluence(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("confluence/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunConfluence(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Hierarchy returns the cached two-level Micro BTB hierarchy run.
-func (c *Context) Hierarchy(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("hierarchy/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunHierarchy(input, c.optsWithSpan(jctx))
-	})
-}
-
-// Shadow returns the cached shadow-branch run.
-func (c *Context) Shadow(app workload.App, input int) (*pipeline.Result, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRunCtx(fmt.Sprintf("shadow/%s/%d", app, input), func(jctx stdctx.Context) (*pipeline.Result, error) {
-		return a.RunShadow(input, c.optsWithSpan(jctx))
-	})
+	return c.scheme("shotgun", app, input)
 }
 
 // Schemes returns the cached runs of the named schemes (core.SchemeNames)
@@ -321,8 +293,7 @@ func (c *Context) Schemes(app workload.App, input int, names ...string) (map[str
 		}
 		byID[members[i].ID] = n
 	}
-	art := runner.ArtifactsJob(app, 0, c.Opts, "")
-	vals, err := c.run.GroupResult(c.ctx, members, []*runner.Job{art},
+	vals, err := c.run.GroupResult(c.ctx, members, []*runner.Job{c.artJob(app, 0)},
 		func(jctx stdctx.Context, deps []any, need []runner.Member) (map[string]any, error) {
 			a := deps[0].(*core.Artifacts)
 			run := make([]string, len(need))

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	stdctx "context"
 	"fmt"
 
 	"twig/internal/btb"
+	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 	"twig/internal/prefetcher"
+	"twig/internal/twigopt"
 	"twig/internal/workload"
 )
 
@@ -113,10 +116,6 @@ func init() {
 			t := metrics.NewTable("app", "sw-only % of ideal", "with coalescing % of ideal", "coalescing gain")
 			var sws, fulls []float64
 			for _, app := range c.Apps {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Baseline(app, 0)
 				if err != nil {
 					return err
@@ -129,15 +128,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				swOnly, err := c.memoRun(fmt.Sprintf("swonly/%s", app), func() (*r, error) {
-					optCfg := c.Opts.Opt
-					optCfg.DisableCoalescing = true
-					prog, _, err := a.Reoptimize(optCfg)
-					if err != nil {
-						return nil, err
-					}
-					return a.RunOptimized(prog, 0, c.Opts)
-				})
+				swOnly, err := c.swOnly(app)
 				if err != nil {
 					return err
 				}
@@ -208,13 +199,7 @@ func init() {
 					cross = append(cross, metrics.PercentOfIdeal(metrics.Speedup(base.IPC(), tw.IPC()), idealSp))
 
 					// Twig trained and tested on the same input.
-					sameArt, err := c.Artifacts(app, input)
-					if err != nil {
-						return err
-					}
-					twSame, err := c.memoRun(fmt.Sprintf("twig-same/%s/%d", app, input), func() (*r, error) {
-						return sameArt.RunTwig(input, c.Opts)
-					})
+					twSame, err := c.twigSame(app, input)
 					if err != nil {
 						return err
 					}
@@ -317,12 +302,45 @@ func init() {
 // bigBTB returns the cached run of the unmodified binary with an
 // entries-sized baseline BTB (Fig. 16's 32K comparison point).
 func (c *Context) bigBTB(app workload.App, entries int) (*r, error) {
-	a, err := c.Artifacts(app, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.memoRun(fmt.Sprintf("btb%d/%s", entries, app), func() (*r, error) {
-		scheme := prefetcher.NewBaseline(btb.Config{Entries: entries, Ways: c.Opts.BTB.Ways}, 0, false)
-		return a.RunWithScheme(0, c.Opts, scheme)
+	return c.customRun(fmt.Sprintf("btb%d/%s", entries, app), app, func() prefetcher.Scheme {
+		return prefetcher.NewBaseline(btb.Config{Entries: entries, Ways: c.Opts.BTB.Ways}, 0, false)
+	})
+}
+
+// customRun returns the cached input-0 run of the unmodified binary
+// under the scheme newScheme builds (each execution gets a fresh one).
+func (c *Context) customRun(key string, app workload.App, newScheme func() prefetcher.Scheme) (*r, error) {
+	return c.memoRun(key, c.artJob(app, 0), func(_ stdctx.Context, a *core.Artifacts) (*r, error) {
+		return a.RunWithScheme(0, c.Opts, newScheme())
+	})
+}
+
+// swOnly returns the cached Twig run with prefetch coalescing disabled
+// (Fig. 18's software-prefetching-only split).
+func (c *Context) swOnly(app workload.App) (*r, error) {
+	return c.reoptRun(fmt.Sprintf("swonly/%s", app), app, func(o *twigopt.Config) { o.DisableCoalescing = true })
+}
+
+// twigSame returns the cached Twig run trained and tested on the same
+// input (Fig. 20's same-input column).
+func (c *Context) twigSame(app workload.App, input int) (*r, error) {
+	return c.memoRun(fmt.Sprintf("twig-same/%s/%d", app, input), c.artJob(app, input), func(_ stdctx.Context, a *core.Artifacts) (*r, error) {
+		return a.RunTwig(input, c.Opts)
+	})
+}
+
+// reoptRun returns the cached input-0 run of the binary relinked from
+// the input-0 profile under the context's analysis configuration as
+// edit changes it (the analysis-parameter ablations and sweeps reuse
+// one profile, as a real deployment would).
+func (c *Context) reoptRun(key string, app workload.App, edit func(*twigopt.Config)) (*r, error) {
+	return c.memoRun(key, c.artJob(app, 0), func(_ stdctx.Context, a *core.Artifacts) (*r, error) {
+		optCfg := c.Opts.Opt
+		edit(&optCfg)
+		prog, _, err := a.Reoptimize(optCfg)
+		if err != nil {
+			return nil, err
+		}
+		return a.RunOptimized(prog, 0, c.Opts)
 	})
 }

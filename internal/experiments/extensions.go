@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	stdctx "context"
 	"fmt"
 
+	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 	"twig/internal/prefetcher"
+	"twig/internal/program"
 	"twig/internal/twigopt"
 )
 
@@ -22,10 +25,6 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "phantom sp%", "boomerang sp%", "bulk-preload sp%", "shotgun sp%", "twig sp%", "phantom cov%", "boomerang cov%", "bulk cov%", "twig cov%")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Baseline(app, 0)
 				if err != nil {
 					return err
@@ -38,20 +37,20 @@ func init() {
 				if err != nil {
 					return err
 				}
-				boom, err := c.memoRun(fmt.Sprintf("boomerang/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewBoomerang(c.Opts.BTB))
+				boom, err := c.customRun(fmt.Sprintf("boomerang/%s", app), app, func() prefetcher.Scheme {
+					return prefetcher.NewBoomerang(c.Opts.BTB)
 				})
 				if err != nil {
 					return err
 				}
-				bulk, err := c.memoRun(fmt.Sprintf("bulk/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewBulkPreload(prefetcher.DefaultBulkPreloadConfig()))
+				bulk, err := c.customRun(fmt.Sprintf("bulk/%s", app), app, func() prefetcher.Scheme {
+					return prefetcher.NewBulkPreload(prefetcher.DefaultBulkPreloadConfig())
 				})
 				if err != nil {
 					return err
 				}
-				phantom, err := c.memoRun(fmt.Sprintf("phantom/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewPhantom(prefetcher.DefaultPhantomConfig()))
+				phantom, err := c.customRun(fmt.Sprintf("phantom/%s", app), app, func() prefetcher.Scheme {
+					return prefetcher.NewPhantom(prefetcher.DefaultPhantomConfig())
 				})
 				if err != nil {
 					return err
@@ -80,10 +79,6 @@ func init() {
 		Run: func(c *Context) error {
 			t := metrics.NewTable("app", "layout sp%", "twig sp%", "layout+twig sp%", "layout icMPKI", "base icMPKI")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Baseline(app, 0)
 				if err != nil {
 					return err
@@ -92,17 +87,25 @@ func init() {
 				if err != nil {
 					return err
 				}
-				reordered, err := a.Program.ReorderFunctions(a.Program.HotFunctionOrder(a.Profile.BlockExecs))
-				if err != nil {
-					return err
-				}
-				layout, err := c.memoRun(fmt.Sprintf("layout/%s", app), func() (*pipeline.Result, error) {
+				art := c.artJob(app, 0)
+				layout, err := c.memoRun(fmt.Sprintf("layout/%s", app), art, func(_ stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
+					reordered, err := hotLayout(a)
+					if err != nil {
+						return nil, err
+					}
 					return a.RunProgram(reordered, 0, c.Opts, prefetcher.NewBaseline(c.Opts.BTB, 0, false))
 				})
 				if err != nil {
 					return err
 				}
-				both, err := c.memoRun(fmt.Sprintf("layout-twig/%s", app), func() (*pipeline.Result, error) {
+				// "layout-twig2" retires results cached while the analysis
+				// read injection sites by block index instead of block ID,
+				// which a reordered binary no longer equates.
+				both, err := c.memoRun(fmt.Sprintf("layout-twig2/%s", app), art, func(_ stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
+					reordered, err := hotLayout(a)
+					if err != nil {
+						return nil, err
+					}
 					an, err := twigopt.Analyze(reordered, a.Profile, c.Opts.Opt)
 					if err != nil {
 						return nil, err
@@ -139,10 +142,6 @@ func init() {
 				"conv MPKI", "compressed MPKI",
 				"twig-on-conv sp%", "twig-on-compressed sp%", "effective entries")
 			for _, app := range c.SweepApps() {
-				a, err := c.Artifacts(app, 0)
-				if err != nil {
-					return err
-				}
 				base, err := c.Baseline(app, 0)
 				if err != nil {
 					return err
@@ -152,13 +151,13 @@ func init() {
 					return err
 				}
 				ccfg := prefetcher.DefaultCompressedConfig()
-				compBase, err := c.memoRun(fmt.Sprintf("comp-base/%s", app), func() (*pipeline.Result, error) {
-					return a.RunWithScheme(0, c.Opts, prefetcher.NewCompressed(ccfg, 0))
+				compBase, err := c.customRun(fmt.Sprintf("comp-base/%s", app), app, func() prefetcher.Scheme {
+					return prefetcher.NewCompressed(ccfg, 0)
 				})
 				if err != nil {
 					return err
 				}
-				compTwig, err := c.memoRun(fmt.Sprintf("comp-twig/%s", app), func() (*pipeline.Result, error) {
+				compTwig, err := c.memoRun(fmt.Sprintf("comp-twig/%s", app), c.artJob(app, 0), func(_ stdctx.Context, a *core.Artifacts) (*pipeline.Result, error) {
 					return a.RunOptimizedScheme(0, c.Opts, prefetcher.NewCompressed(ccfg, c.Opts.PrefetchBuffer))
 				})
 				if err != nil {
@@ -174,4 +173,10 @@ func init() {
 			return err
 		},
 	})
+}
+
+// hotLayout relinks a's binary in hot-function order, computed from its
+// training profile (the layout-PGO step of ext-layout).
+func hotLayout(a *core.Artifacts) (*program.Program, error) {
+	return a.Program.ReorderFunctions(a.Program.HotFunctionOrder(a.Profile.BlockExecs))
 }

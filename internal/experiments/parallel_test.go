@@ -12,8 +12,11 @@ import (
 )
 
 // subsetIDs is a small experiment slice that exercises simulations,
-// profiles and derived statistics without running the whole registry.
-var subsetIDs = []string{"fig1", "fig11", "fig16"}
+// profiles and derived statistics without running the whole registry:
+// grouped scheme runs (fig16, fig17, fig20), single-scheme and custom
+// runs (fig1, fig16's 32K BTB), a derived statistic (fig11), a
+// re-analysis (fig18) and artifacts trained on another input (fig20).
+var subsetIDs = []string{"fig1", "fig11", "fig16", "fig17", "fig18", "fig20"}
 
 // newTestContext returns a context at smoke scale over one application,
 // wired to a runner with the given worker count and cache.
@@ -76,9 +79,10 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 }
 
 // TestWarmCacheRunsZeroSimulations asserts the headline cache property:
-// a rerun against a warm persistent cache replays every simulation —
-// including the training profile — from disk, executes nothing, and
-// still renders identical output.
+// a rerun against a warm persistent cache replays every simulation from
+// disk, executes no job of any kind — no build, training profile or
+// analysis either, so it reads no profile — and still renders identical
+// output.
 func TestWarmCacheRunsZeroSimulations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates several windows")
@@ -108,9 +112,13 @@ func TestWarmCacheRunsZeroSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := ctx2.Runner().Stats()
-	if ws.SimRuns != 0 || ws.ProfileRuns != 0 || ws.DerivedRuns != 0 {
-		t.Fatalf("warm run executed sims=%d profiles=%d derived=%d, want all zero\n%s",
-			ws.SimRuns, ws.ProfileRuns, ws.DerivedRuns, ws.Summary())
+	if ws.SimRuns != 0 || ws.ProfileRuns != 0 || ws.DerivedRuns != 0 || ws.OtherRuns != 0 || ws.Done != 0 {
+		t.Fatalf("warm run executed sims=%d profiles=%d derived=%d other=%d (%d jobs), want all zero\n%s",
+			ws.SimRuns, ws.ProfileRuns, ws.DerivedRuns, ws.OtherRuns, ws.Done, ws.Summary())
+	}
+	if ws.ProfileHits != 0 {
+		t.Fatalf("warm run read %d profiles from the cache, want 0 (no artifacts needed)\n%s",
+			ws.ProfileHits, ws.Summary())
 	}
 	if ws.DiskHits == 0 {
 		t.Fatalf("warm run hit the disk tier 0 times: %s", ws.Summary())

@@ -4,6 +4,7 @@ import (
 	stdctx "context"
 	"fmt"
 
+	"twig/internal/core"
 	"twig/internal/metrics"
 	"twig/internal/pipeline"
 	"twig/internal/runner"
@@ -54,11 +55,9 @@ func (c *Context) Sampled(app workload.App, input int, scheme string) (*sampling
 		Kind:  runner.KindSampled,
 		Hash:  h,
 		Codec: runner.JSONCodec[*sampling.Estimate]{},
-		Run: func(jctx stdctx.Context, _ []any) (any, error) {
-			a, err := c.Artifacts(app, 0)
-			if err != nil {
-				return nil, err
-			}
+		Deps:  []*runner.Job{c.artJob(app, 0)},
+		Run: func(jctx stdctx.Context, deps []any) (any, error) {
+			a := deps[0].(*core.Artifacts)
 			o := opts
 			o.Telemetry = c.optsWithSpan(jctx).Telemetry
 			est, err := a.RunSchemeSampled(scheme, input, o)
@@ -93,12 +92,9 @@ func (c *Context) Checkpoint(app workload.App, input int, scheme string, at int6
 		Kind:  runner.KindCheckpoint,
 		Hash:  h,
 		Codec: runner.CheckpointCodec{},
-		Run: func(stdctx.Context, []any) (any, error) {
-			a, err := c.Artifacts(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			return a.CheckpointScheme(scheme, input, c.Opts, at)
+		Deps:  []*runner.Job{c.artJob(app, 0)},
+		Run: func(_ stdctx.Context, deps []any) (any, error) {
+			return deps[0].(*core.Artifacts).CheckpointScheme(scheme, input, c.Opts, at)
 		},
 	})
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"twig/internal/btb"
 	"twig/internal/core"
 	"twig/internal/metrics"
+	"twig/internal/runner"
+	"twig/internal/twigopt"
 	"twig/internal/workload"
 )
 
@@ -17,47 +19,41 @@ import (
 // because large BTBs drive the ideal headroom toward zero at this
 // workload scale, which makes a ratio numerically meaningless.
 func (c *Context) sweepPoint(app workload.App, opts core.Options, key string) (twig, shotgun, confluence float64, err error) {
-	art, err := c.sweepArtifacts(app, opts, key)
-	if err != nil {
-		return 0, 0, 0, err
+	res := make(map[string]*r, len(sweepSchemeNames))
+	// ideal runs too, for cache parity with the surrogate-pruned sweeps;
+	// the sweeps report raw speedups.
+	for _, n := range sweepSchemeNames {
+		if res[n], err = c.sweepRun(n, app, opts, key); err != nil {
+			return 0, 0, 0, err
+		}
 	}
-	base, err := c.memoRun("swp-base/"+key, func() (*r, error) { return art.RunBaseline(0, opts) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	ideal, err := c.memoRun("swp-ideal/"+key, func() (*r, error) { return art.RunIdealBTB(0, opts) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	tw, err := c.memoRun("swp-twig/"+key, func() (*r, error) { return art.RunTwig(0, opts) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	sh, err := c.memoRun("swp-shot/"+key, func() (*r, error) { return art.RunShotgun(0, opts) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cf, err := c.memoRun("swp-conf/"+key, func() (*r, error) { return art.RunConfluence(0, opts) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	_ = ideal // kept for the cache warm-up; sweeps report raw speedups
-	return metrics.Speedup(base.IPC(), tw.IPC()),
-		metrics.Speedup(base.IPC(), sh.IPC()),
-		metrics.Speedup(base.IPC(), cf.IPC()),
+	base := res["baseline"].IPC()
+	return metrics.Speedup(base, res["twig"].IPC()),
+		metrics.Speedup(base, res["shotgun"].IPC()),
+		metrics.Speedup(base, res["confluence"].IPC()),
 		nil
 }
 
-// sweepArtifacts returns the artifacts for a sweep point: the shared
-// ones at the context's BTB geometry, or a rebuilt variant when the
+// sweepRun returns the cached run of one named scheme at a sweep point,
+// memoized under sweepKeyOf(scheme, key).
+func (c *Context) sweepRun(scheme string, app workload.App, opts core.Options, key string) (*r, error) {
+	memo := sweepKeyOf(scheme, key)
+	if memo == "" {
+		return nil, fmt.Errorf("experiments: unknown sweep scheme %q", scheme)
+	}
+	return c.schemeRun(memo, scheme, c.sweepArtJob(app, opts, key), opts)
+}
+
+// sweepArtJob returns the artifacts job for a sweep point: the shared
+// one at the context's BTB geometry, or a rebuilt variant when the
 // point changes it (a different geometry changes the profile, so the
 // whole profile→analyze→inject pipeline reruns, as runner jobs, making
 // the retraining profile disk-cacheable).
-func (c *Context) sweepArtifacts(app workload.App, opts core.Options, key string) (*core.Artifacts, error) {
+func (c *Context) sweepArtJob(app workload.App, opts core.Options, key string) *runner.Job {
 	if opts.BTB == c.Opts.BTB {
-		return c.Artifacts(app, 0)
+		return c.artJob(app, 0)
 	}
-	return c.ArtifactsOpts(app, 0, opts, key+"/")
+	return runner.ArtifactsJob(app, 0, opts, key+"/")
 }
 
 func init() {
@@ -127,10 +123,6 @@ func init() {
 			for _, s := range sizes {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Baseline(app, 0)
 					if err != nil {
 						return err
@@ -141,9 +133,7 @@ func init() {
 					}
 					opts := c.Opts
 					opts.PrefetchBuffer = s
-					tw, err := c.memoRun(fmt.Sprintf("buf%d/%s", s, app), func() (*r, error) {
-						return a.RunTwig(0, opts)
-					})
+					tw, err := c.schemeRun(fmt.Sprintf("buf%d/%s", s, app), "twig", c.artJob(app, 0), opts)
 					if err != nil {
 						return err
 					}
@@ -167,10 +157,6 @@ func init() {
 			for _, d := range distances {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Baseline(app, 0)
 					if err != nil {
 						return err
@@ -179,15 +165,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("dist%.0f/%s", d, app), func() (*r, error) {
-						optCfg := c.Opts.Opt
-						optCfg.PrefetchDistance = d
-						prog, _, err := a.Reoptimize(optCfg)
-						if err != nil {
-							return nil, err
-						}
-						return a.RunOptimized(prog, 0, c.Opts)
-					})
+					tw, err := c.reoptRun(fmt.Sprintf("dist%.0f/%s", d, app), app, func(o *twigopt.Config) { o.PrefetchDistance = d })
 					if err != nil {
 						return err
 					}
@@ -211,10 +189,6 @@ func init() {
 			for _, w := range widths {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					base, err := c.Baseline(app, 0)
 					if err != nil {
 						return err
@@ -223,15 +197,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("mask%d/%s", w, app), func() (*r, error) {
-						optCfg := c.Opts.Opt
-						optCfg.CoalesceMaskBits = w
-						prog, _, err := a.Reoptimize(optCfg)
-						if err != nil {
-							return nil, err
-						}
-						return a.RunOptimized(prog, 0, c.Opts)
-					})
+					tw, err := c.reoptRun(fmt.Sprintf("mask%d/%s", w, app), app, func(o *twigopt.Config) { o.CoalesceMaskBits = w })
 					if err != nil {
 						return err
 					}
@@ -255,27 +221,18 @@ func init() {
 			for _, d := range depths {
 				var tws []float64
 				for _, app := range c.SweepApps() {
-					a, err := c.Artifacts(app, 0)
-					if err != nil {
-						return err
-					}
 					opts := c.Opts
 					opts.Pipeline.FTQSize = d
-					base, err := c.memoRun(fmt.Sprintf("ftq%d-base/%s", d, app), func() (*r, error) {
-						return a.RunBaseline(0, opts)
-					})
+					art := c.artJob(app, 0)
+					base, err := c.schemeRun(fmt.Sprintf("ftq%d-base/%s", d, app), "baseline", art, opts)
 					if err != nil {
 						return err
 					}
-					ideal, err := c.memoRun(fmt.Sprintf("ftq%d-ideal/%s", d, app), func() (*r, error) {
-						return a.RunIdealBTB(0, opts)
-					})
+					ideal, err := c.schemeRun(fmt.Sprintf("ftq%d-ideal/%s", d, app), "ideal", art, opts)
 					if err != nil {
 						return err
 					}
-					tw, err := c.memoRun(fmt.Sprintf("ftq%d-twig/%s", d, app), func() (*r, error) {
-						return a.RunTwig(0, opts)
-					})
+					tw, err := c.schemeRun(fmt.Sprintf("ftq%d-twig/%s", d, app), "twig", art, opts)
 					if err != nil {
 						return err
 					}

@@ -118,19 +118,7 @@ func fig18Pruned(c *Context) error {
 		swSpec := c.baseSpec("twig", app, 0)
 		swSpec.nocoalesce = true
 		swOnly, err := c.resolvePoint(tally, fmt.Sprintf("swonly/%s", app), swSpec, func() (*r, error) {
-			a, err := c.Artifacts(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			return c.memoRun(fmt.Sprintf("swonly/%s", app), func() (*r, error) {
-				optCfg := c.Opts.Opt
-				optCfg.DisableCoalescing = true
-				prog, _, err := a.Reoptimize(optCfg)
-				if err != nil {
-					return nil, err
-				}
-				return a.RunOptimized(prog, 0, c.Opts)
-			})
+			return c.swOnly(app)
 		})
 		if err != nil {
 			return err
@@ -195,15 +183,7 @@ func fig20Pruned(c *Context) error {
 			sameSpec := c.baseSpec("twig", app, input)
 			sameSpec.sameTrain = true
 			twSame, err := c.resolvePoint(tally, fmt.Sprintf("twig-same/%s/%d", app, input), sameSpec,
-				func() (*r, error) {
-					sameArt, err := c.Artifacts(app, input)
-					if err != nil {
-						return nil, err
-					}
-					return c.memoRun(fmt.Sprintf("twig-same/%s/%d", app, input), func() (*r, error) {
-						return sameArt.RunTwig(input, c.Opts)
-					})
-				})
+				func() (*r, error) { return c.twigSame(app, input) })
 			if err != nil {
 				return err
 			}
@@ -261,28 +241,9 @@ func (c *Context) specUnderOpts(scheme string, app workload.App, opts core.Optio
 // mode warms the other's cache entries).
 func (c *Context) sweepRunExact(app workload.App, opts core.Options, pointKey string) func(ns []string) (map[string]*pipeline.Result, error) {
 	return func(ns []string) (map[string]*pipeline.Result, error) {
-		art, err := c.sweepArtifacts(app, opts, pointKey)
-		if err != nil {
-			return nil, err
-		}
 		out := make(map[string]*pipeline.Result, len(ns))
 		for _, n := range ns {
-			var res *r
-			var err error
-			switch n {
-			case "baseline":
-				res, err = c.memoRun("swp-base/"+pointKey, func() (*r, error) { return art.RunBaseline(0, opts) })
-			case "ideal":
-				res, err = c.memoRun("swp-ideal/"+pointKey, func() (*r, error) { return art.RunIdealBTB(0, opts) })
-			case "twig":
-				res, err = c.memoRun("swp-twig/"+pointKey, func() (*r, error) { return art.RunTwig(0, opts) })
-			case "shotgun":
-				res, err = c.memoRun("swp-shot/"+pointKey, func() (*r, error) { return art.RunShotgun(0, opts) })
-			case "confluence":
-				res, err = c.memoRun("swp-conf/"+pointKey, func() (*r, error) { return art.RunConfluence(0, opts) })
-			default:
-				err = fmt.Errorf("experiments: unknown sweep scheme %q", n)
-			}
+			res, err := c.sweepRun(n, app, opts, pointKey)
 			if err != nil {
 				return nil, err
 			}

@@ -301,6 +301,10 @@ func (b *Builder) Link() (*Program, error) {
 // a link or relink.
 func (p *Program) finish() {
 	p.TextBytes = p.EndPC() - p.BaseAddr + uint64(len(p.CoalesceTable)*isa.SizeCoalesceEntry)
+	p.blockIdx = make([]int32, len(p.Blocks))
+	for i := range p.Blocks {
+		p.blockIdx[p.Blocks[i].ID] = int32(i)
+	}
 	p.branchPCs = p.branchPCs[:0]
 	p.branchIdxs = p.branchIdxs[:0]
 	for i := range p.Instrs {

@@ -85,9 +85,11 @@ type Block struct {
 	First, Last int32
 	// Func is the index of the owning function.
 	Func int32
-	// ID is the stable block identity (blocks are never created or
-	// destroyed by relinking, so this equals the block's index at first
-	// link and its index forever after; it exists for clarity).
+	// ID is the stable block identity. Blocks are never created or
+	// destroyed by relinking, so IDs stay dense in [0, len(Blocks)) and
+	// equal each block's index at first link. A relink that reorders
+	// blocks (ReorderFunctions) keeps IDs, so afterwards ID and index
+	// differ: look a block up by ID with Program.BlockByID.
 	ID int32
 }
 
@@ -150,6 +152,8 @@ type Program struct {
 
 	// idToIdx maps stable IDs to layout indexes.
 	idToIdx []int32
+	// blockIdx maps stable block IDs to indexes into Blocks.
+	blockIdx []int32
 	// branchPCs/branchIdxs index direct branches by PC for predecoders
 	// (Shotgun/Confluence) that need "all branches in this cache line".
 	branchPCs  []uint64
@@ -162,6 +166,11 @@ func (p *Program) IndexOf(id int32) int32 {
 		return NoTarget
 	}
 	return p.idToIdx[id]
+}
+
+// BlockByID returns the block with the given stable block ID.
+func (p *Program) BlockByID(id int32) *Block {
+	return &p.Blocks[p.blockIdx[id]]
 }
 
 // InstrByID returns the instruction with the given stable ID.

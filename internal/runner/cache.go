@@ -314,7 +314,7 @@ func (c *Cache) Walk(fn func(WalkEntry) error) error {
 			e.Err = rerr
 			return fn(e)
 		}
-		var env envelope
+		var env envelopeFrame
 		if jerr := json.Unmarshal(data, &env); jerr != nil {
 			e.Err = fmt.Errorf("corrupt envelope: %w", jerr)
 			return fn(e)

@@ -157,6 +157,17 @@ type envelope struct {
 	Payload []byte `json:"payload"`
 }
 
+// envelopeFrame is an envelope without its payload. Decoding into it
+// skips the payload's bytes instead of base64-decoding them into a new
+// slice, so reading an entry's metadata (Cache.Walk) costs no copy of
+// the payload.
+type envelopeFrame struct {
+	Format int    `json:"format"`
+	Sim    string `json:"sim"`
+	Codec  string `json:"codec"`
+	Hash   string `json:"hash"`
+}
+
 // staleError marks a well-formed entry written under a different
 // format, simulator version, or codec — ignored, not fatal.
 type staleError struct{ reason string }

@@ -81,7 +81,8 @@ func TestGroupResultColdThenWarm(t *testing.T) {
 		t.Fatalf("warm group executed: run %d, dep %d", runs.Load(), depRuns.Load())
 	}
 	st2 := r2.Stats()
-	if st2.SimRuns != 0 || st2.SimHits != 3 {
+	// Done counts executions, so a fully peeled group adds none.
+	if st2.SimRuns != 0 || st2.SimHits != 3 || st2.Done != 0 {
 		t.Fatalf("warm stats: %+v", st2)
 	}
 }

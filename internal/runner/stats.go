@@ -36,7 +36,6 @@ type counters struct {
 }
 
 func (c *counters) hit(k Kind) {
-	c.Done.Add(1)
 	switch k {
 	case KindSim, KindSampled:
 		// Sampled evaluations stand in for exact simulations, so they
@@ -125,8 +124,10 @@ func (r *Runner) AddSimInstructions(n int64) { r.stats.SimInstructions.Add(n) }
 // Stats is a point-in-time snapshot of a Runner's counters plus its
 // cache's counters (zero-valued when no cache is configured).
 type Stats struct {
-	// Scheduled/Done/Failed count job lifecycles; Done includes cache
-	// hits. Retries, Panics and Timeouts count recovered incidents.
+	// Scheduled/Done/Failed count job lifecycles; Done counts jobs
+	// executed to success, so a cache hit is Scheduled but not Done (the
+	// per-kind Hits fields count it). Retries, Panics and Timeouts count
+	// recovered incidents.
 	Scheduled, Done, Failed, Retries, Panics, Timeouts int64
 	// SimRuns counts evaluation simulations actually executed;
 	// SimHits counts those served from the cache instead. Profile and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"twig/internal/pipeline"
@@ -131,6 +132,40 @@ func TestWalkEnumeratesByKind(t *testing.T) {
 	mem, _ := OpenCache("", 0)
 	if err := mem.Walk(func(WalkEntry) error { return sentinel }); err != nil {
 		t.Fatalf("memory-only Walk = %v, want nil", err)
+	}
+}
+
+// TestWalkSkipsPayloads pins what Walk decodes: the envelope frame
+// only. Walking an entry allocates about the file it reads, and not a
+// decoded copy of the payload on top.
+func TestWalkSkipsPayloads(t *testing.T) {
+	c, err := OpenCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(hash("big"), JSONCodec[[]byte]{}, make([]byte, 4<<20))
+	var size int64
+	walk := func() {
+		if err := c.Walk(func(e WalkEntry) error {
+			size = e.Bytes
+			return e.Err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk()
+	const walks = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < walks; i++ {
+		walk()
+	}
+	runtime.ReadMemStats(&after)
+	perWalk := int64(after.TotalAlloc-before.TotalAlloc) / walks
+	// Decoding the payload would add about three quarters of the file
+	// (its base64 text) to the one read of the file itself.
+	if perWalk > size+size/4 {
+		t.Fatalf("Walk allocated %d bytes per walk of a %d-byte entry, want about the file alone", perWalk, size)
 	}
 }
 

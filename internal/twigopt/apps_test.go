@@ -128,6 +128,43 @@ func TestBuildWithForeignProfileFails(t *testing.T) {
 	}
 }
 
+// TestAnalyzeReorderedProgram analyzes a binary relinked in hot-function
+// order (layout PGO, as the ext-layout experiment does), where block
+// IDs no longer equal block indexes: every placement's site→branch
+// offset must be measured from the block that carries its ID.
+func TestAnalyzeReorderedProgram(t *testing.T) {
+	a := loadApp(t, workload.Kafka)
+	q, err := a.prog.ReorderFunctions(a.prog.HotFunctionOrder(a.prof.BlockExecs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[int32]program.Block, len(q.Blocks))
+	moved := 0
+	for i, b := range q.Blocks {
+		byID[b.ID] = b
+		if int(b.ID) != i {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("reordering moved no block; the check would be vacuous")
+	}
+	an, err := twigopt.Analyze(q, a.prof, twigopt.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Placements) == 0 {
+		t.Fatal("no placements to check")
+	}
+	for _, pl := range an.Placements {
+		site := q.Instrs[byID[pl.Block].First].PC
+		if want := int64(q.PCOf(pl.Branch)) - int64(site); pl.BranchOffset != want {
+			t.Fatalf("branch %d at block %d: site→branch offset %d, want %d",
+				pl.Branch, pl.Block, pl.BranchOffset, want)
+		}
+	}
+}
+
 // BenchmarkAnalyze times the analysis alone on real application
 // profiles at the default configuration.
 func BenchmarkAnalyze(b *testing.B) {

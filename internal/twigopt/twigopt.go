@@ -451,7 +451,7 @@ func encode(p *program.Program, cfg Config, an *Analysis, sites []site) {
 	blockOrder := []int32{}
 	for _, st := range sites {
 		br := p.InstrByID(st.branch)
-		sitePC := p.Instrs[siteFirstIdx(p, st.block)].PC
+		sitePC := p.Instrs[p.BlockByID(st.block).First].PC
 		branchOff := int64(br.PC) - int64(sitePC)
 		targetOff := int64(p.PCOf(br.Target)) - int64(br.PC)
 		bb := isa.SignedBitsFor(branchOff)
@@ -552,10 +552,6 @@ func encode(p *program.Program, cfg Config, an *Analysis, sites []site) {
 		}
 		an.Plan.Injections = append(an.Plan.Injections, *inj)
 	}
-}
-
-func siteFirstIdx(p *program.Program, blockID int32) int32 {
-	return p.Blocks[blockID].First
 }
 
 func clampBits(b int) int {
